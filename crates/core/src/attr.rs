@@ -11,8 +11,7 @@
 
 use crate::iddep::IdDepInfo;
 use acfc_cfg::{Cfg, EdgeLabel, NodeId, NodeKind};
-use acfc_mpsl::{rank_eval, RankEnv, RankVal};
-use std::collections::HashMap;
+use acfc_mpsl::{rank_eval, Expr, RankEnv, RankVal};
 use std::fmt;
 
 /// Maximum number of processes an analysis instance supports (rank sets
@@ -102,11 +101,18 @@ impl RankSet {
         self.bits.count_ones() as usize
     }
 
-    /// Iterates over member ranks, ascending.
+    /// Iterates over member ranks, ascending. Visits only the set bits,
+    /// so the cost is proportional to [`RankSet::len`], not to `n`.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let n = self.n as usize;
-        let bits = self.bits;
-        (0..n).filter(move |r| bits & (1u128 << r) != 0)
+        let mut bits = self.bits;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(r)
+        })
     }
 }
 
@@ -151,19 +157,34 @@ impl NodeAttrs {
 /// (loop counters, input data) impose no constraint. Join is set union;
 /// loops iterate to a fixpoint (the lattice is finite and the transfer
 /// monotone, so this terminates).
+///
+/// Each branch condition is evaluated once per rank, up front, into a
+/// true-mask and a false-mask (`O(n·B)` evaluations for `B` branch
+/// nodes); the fixpoint itself is pure set intersection and union.
 pub fn compute_attrs(cfg: &Cfg, n: usize, iddep: &IdDepInfo) -> NodeAttrs {
+    let masks: Vec<Option<[RankSet; 2]>> = cfg
+        .node_ids()
+        .map(|a| match &cfg.node(a).kind {
+            NodeKind::Branch { cond } => Some(branch_masks(cond, n, iddep, a)),
+            _ => None,
+        })
+        .collect();
     let mut attrs = vec![RankSet::empty(n); cfg.len()];
     attrs[cfg.entry().index()] = RankSet::full(n);
-    let params: HashMap<String, i64> = iddep.params.clone();
     let mut changed = true;
     while changed {
         changed = false;
         for a in cfg.node_ids() {
-            if attrs[a.index()].is_empty() {
+            let incoming = attrs[a.index()];
+            if incoming.is_empty() {
                 continue;
             }
             for &(b, label) in cfg.succs(a) {
-                let contribution = constrain_edge(cfg, iddep, &params, a, label, attrs[a.index()]);
+                let contribution = match (masks[a.index()], label) {
+                    (Some([if_false, _]), EdgeLabel::False) => incoming.intersect(&if_false),
+                    (Some([_, if_true]), EdgeLabel::True) => incoming.intersect(&if_true),
+                    _ => incoming,
+                };
                 let merged = attrs[b.index()].union(&contribution);
                 if merged != attrs[b.index()] {
                     attrs[b.index()] = merged;
@@ -175,43 +196,28 @@ pub fn compute_attrs(cfg: &Cfg, n: usize, iddep: &IdDepInfo) -> NodeAttrs {
     NodeAttrs { attrs, n }
 }
 
-fn constrain_edge(
-    cfg: &Cfg,
-    iddep: &IdDepInfo,
-    params: &HashMap<String, i64>,
-    a: NodeId,
-    label: EdgeLabel,
-    incoming: RankSet,
-) -> RankSet {
-    let NodeKind::Branch { cond } = &cfg.node(a).kind else {
-        return incoming;
-    };
-    let want_true = match label {
-        EdgeLabel::True => true,
-        EdgeLabel::False => false,
-        EdgeLabel::Seq => return incoming,
-    };
-    let n = incoming.universe();
-    let var_exprs = iddep.env_at(a);
-    let mut out = RankSet::empty(n);
-    for r in incoming.iter() {
+/// `[false-mask, true-mask]` of branch node `a`: the ranks that can take
+/// its false and its true edge. A rank at which the condition does not
+/// resolve can take both.
+fn branch_masks(cond: &Expr, n: usize, iddep: &IdDepInfo, a: NodeId) -> [RankSet; 2] {
+    let mut masks = [RankSet::empty(n); 2];
+    for r in 0..n {
         let env = RankEnv {
             rank: r as i64,
             nprocs: n as i64,
-            params,
-            var_exprs,
+            params: &iddep.params,
+            var_exprs: iddep.env_at(a),
         };
         match rank_eval(cond, &env) {
-            RankVal::Known(v) => {
-                if (v != 0) == want_true {
-                    out.insert(r);
-                }
-            }
+            RankVal::Known(v) => masks[usize::from(v != 0)].insert(r),
             // Unresolvable: both outcomes possible for this rank.
-            RankVal::Unknown | RankVal::Irregular => out.insert(r),
+            RankVal::Unknown | RankVal::Irregular => {
+                masks[0].insert(r);
+                masks[1].insert(r);
+            }
         }
     }
-    out
+    masks
 }
 
 #[cfg(test)]
@@ -245,6 +251,24 @@ mod tests {
         assert_eq!(s.union(&full), full);
         assert_eq!(s.intersect(&full), s);
         assert_eq!(RankSet::singleton(8, 2).len(), 1);
+    }
+
+    #[test]
+    fn iter_visits_exactly_the_members() {
+        let mut rng = acfc_util::Rng::seed_from_u64(0x5eed_a77c);
+        for n in [1, 63, 64, 127, 128] {
+            for _ in 0..64 {
+                let mut s = RankSet::empty(n);
+                let density = rng.open01();
+                for r in 0..n {
+                    if rng.gen_bool(density) {
+                        s.insert(r);
+                    }
+                }
+                let expected: Vec<usize> = (0..n).filter(|&r| s.contains(r)).collect();
+                assert_eq!(s.iter().collect::<Vec<_>>(), expected, "n = {n}, {s}");
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! always among the matches) and errs toward more message edges, i.e.
 //! toward *more* conservative checkpoint placement in Phase III.
 
-use crate::attr::NodeAttrs;
+use crate::attr::{NodeAttrs, RankSet};
 use crate::iddep::IdDepInfo;
 use acfc_cfg::{dfs, Cfg, NodeId, NodeKind};
 use acfc_mpsl::{rank_eval, Expr, RankEnv, RankVal, RecvSrc};
-use std::collections::HashMap;
 
 /// How aggressively to match (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,131 +104,209 @@ impl Matching {
     }
 }
 
-/// How a send's destination resolves at a given sender rank.
+/// Where a send's destination (or a receive's source) points when the
+/// node executes at one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolved {
-    Exactly(usize),
-    AnyRank,
-    OutOfRange,
+enum Peer {
+    /// The node does not execute at this rank, or the expression
+    /// resolves outside `0..n`.
+    None,
+    /// Irregular or unresolvable: any rank.
+    Any,
+    /// Exactly this rank.
+    Exactly(u8),
 }
 
-fn resolve(
-    expr: &Expr,
-    rank: usize,
-    n: usize,
-    params: &HashMap<String, i64>,
-    var_exprs: &HashMap<String, Expr>,
-) -> Resolved {
-    let env = RankEnv {
-        rank: rank as i64,
-        nprocs: n as i64,
-        params,
-        var_exprs,
-    };
-    match rank_eval(expr, &env) {
-        RankVal::Known(v) if v >= 0 && (v as usize) < n => Resolved::Exactly(v as usize),
-        RankVal::Known(_) => Resolved::OutOfRange,
-        RankVal::Unknown | RankVal::Irregular => Resolved::AnyRank,
+impl Peer {
+    /// Whether this side can be talking to `rank`.
+    fn admits(self, rank: usize) -> bool {
+        match self {
+            Peer::None => false,
+            Peer::Any => true,
+            Peer::Exactly(v) => usize::from(v) == rank,
+        }
     }
 }
 
-fn is_irregular_side(expr: &Expr) -> bool {
-    expr.mentions_input()
+/// One side of Algorithm 3.1 — every send node or every recv node, in
+/// program order — with its peer expression resolved once per rank.
+struct Side {
+    nodes: Vec<NodeId>,
+    /// `peers[rank * nodes.len() + k]`: the peer of `nodes[k]` at `rank`.
+    peers: Vec<Peer>,
+    /// `reach[rank]`: every rank some node of this side, executed at
+    /// `rank`, can be talking to.
+    reach: Vec<RankSet>,
+}
+
+impl Side {
+    /// Resolves `peer_of(node)` at every rank in the node's attribute
+    /// (`None` as the expression means "from any").
+    fn resolve<'c>(
+        nodes: Vec<NodeId>,
+        attrs: &NodeAttrs,
+        iddep: &IdDepInfo,
+        peer_of: impl Fn(NodeId) -> Option<&'c Expr>,
+    ) -> Side {
+        let n = attrs.nprocs();
+        let mut peers = vec![Peer::None; n * nodes.len()];
+        let mut reach = vec![RankSet::empty(n); n];
+        for (k, &node) in nodes.iter().enumerate() {
+            let expr = peer_of(node);
+            for rank in attrs.of(node).iter() {
+                let peer = match expr {
+                    None => Peer::Any,
+                    Some(e) => {
+                        let env = RankEnv {
+                            rank: rank as i64,
+                            nprocs: n as i64,
+                            params: &iddep.params,
+                            var_exprs: iddep.env_at(node),
+                        };
+                        match rank_eval(e, &env) {
+                            RankVal::Known(v) if v >= 0 && (v as usize) < n => {
+                                Peer::Exactly(v as u8)
+                            }
+                            RankVal::Known(_) => Peer::None,
+                            RankVal::Unknown | RankVal::Irregular => Peer::Any,
+                        }
+                    }
+                };
+                match peer {
+                    Peer::None => {}
+                    Peer::Any => reach[rank] = RankSet::full(n),
+                    Peer::Exactly(v) => reach[rank].insert(usize::from(v)),
+                }
+                peers[rank * nodes.len() + k] = peer;
+            }
+        }
+        Side {
+            nodes,
+            peers,
+            reach,
+        }
+    }
+
+    /// The peers of every node at `rank`, parallel to `nodes`.
+    fn at(&self, rank: usize) -> &[Peer] {
+        let len = self.nodes.len();
+        &self.peers[rank * len..(rank + 1) * len]
+    }
+
+    /// The nodes executable at `rank` that can be talking to `peer`, in
+    /// program order, each with whether it names `peer` exactly.
+    fn channel(&self, rank: usize, peer: usize) -> Vec<(usize, bool)> {
+        self.at(rank)
+            .iter()
+            .enumerate()
+            .filter(|&(_, p)| p.admits(peer))
+            .map(|(k, &p)| (k, p != Peer::Any))
+            .collect()
+    }
+}
+
+/// The send and recv sides of `cfg`. Scan reachable nodes (DFS from
+/// entry, as the algorithm prescribes), but order each side by
+/// *statement* id — i.e. source order. CFG depth-first preorder dives
+/// through one branch arm into everything after the join before visiting
+/// the sibling arm, which is not the order in which a process executes
+/// statements; FIFO pairing must follow program order.
+fn sides(cfg: &Cfg, attrs: &NodeAttrs, iddep: &IdDepInfo) -> (Side, Side) {
+    let order = dfs(cfg).preorder;
+    let in_program_order = |keep: fn(&NodeKind) -> bool| {
+        let mut v: Vec<NodeId> = order
+            .iter()
+            .copied()
+            .filter(|&id| keep(&cfg.node(id).kind))
+            .collect();
+        v.sort_by_key(|&id| cfg.node(id).stmt.expect("comm nodes carry stmt ids"));
+        v
+    };
+    let sends = in_program_order(|k| matches!(k, NodeKind::Send { .. }));
+    let recvs = in_program_order(|k| matches!(k, NodeKind::Recv { .. }));
+    let sends = Side::resolve(sends, attrs, iddep, |s| match &cfg.node(s).kind {
+        NodeKind::Send { dest, .. } => Some(dest),
+        _ => unreachable!(),
+    });
+    let recvs = Side::resolve(recvs, attrs, iddep, |r| match &cfg.node(r).kind {
+        NodeKind::Recv {
+            src: RecvSrc::Rank(e),
+        } => Some(e),
+        NodeKind::Recv { src: RecvSrc::Any } => None,
+        _ => unreachable!(),
+    });
+    (sends, recvs)
 }
 
 /// Runs Algorithm 3.1 on a CFG with precomputed attributes.
+///
+/// Every send's destination and every receive's source is evaluated once
+/// per rank in its attribute — `O(n·(S+R))` rank evaluations for `S`
+/// sends and `R` receives — and the pairing works on that table alone.
 pub fn match_send_recv(
     cfg: &Cfg,
     attrs: &NodeAttrs,
     iddep: &IdDepInfo,
     mode: MatchingMode,
 ) -> Matching {
+    let (sends, recvs) = sides(cfg, attrs, iddep);
     if mode == MatchingMode::FifoOrdered {
-        return match_fifo_ordered(cfg, attrs, iddep);
+        return match_fifo_ordered(&sends, &recvs);
     }
     let n = attrs.nprocs();
-    let params = &iddep.params;
-    // Scan reachable nodes (DFS from entry, as the algorithm
-    // prescribes), but order the send/recv lists by *statement* id —
-    // i.e. source order. CFG depth-first preorder dives through one
-    // branch arm into everything after the join before visiting the
-    // sibling arm, which is not the order in which a process executes
-    // statements; FIFO pairing must follow program order.
-    let order = dfs(cfg).preorder;
-    let by_stmt = |cfg: &Cfg, v: &mut Vec<NodeId>| {
-        v.sort_by_key(|&id| cfg.node(id).stmt.expect("comm nodes carry stmt ids"));
-    };
-    let mut recvs: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Recv { .. }))
-        .collect();
-    by_stmt(cfg, &mut recvs);
-    let mut sends: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Send { .. }))
-        .collect();
-    by_stmt(cfg, &mut sends);
-
     let mut edges = Vec::new();
     let mut witnesses = Vec::new();
     let mut unmatched_recvs = Vec::new();
-    let mut send_matched: HashMap<NodeId, bool> = sends.iter().map(|&s| (s, false)).collect();
+    let mut send_matched = vec![false; sends.nodes.len()];
+    let send_irregular: Vec<bool> = sends
+        .nodes
+        .iter()
+        .map(|&s| match &cfg.node(s).kind {
+            NodeKind::Send { dest, .. } => dest.mentions_input(),
+            _ => unreachable!(),
+        })
+        .collect();
 
-    for &r in &recvs {
+    for (kr, &r) in recvs.nodes.iter().enumerate() {
         let NodeKind::Recv { src } = &cfg.node(r).kind else {
             unreachable!()
         };
         let recv_irregular = src.is_irregular();
-        let r_env = iddep.env_at(r);
-        // Candidate evaluation for every send.
-        let mut candidates: Vec<(NodeId, (usize, usize), bool)> = Vec::new();
-        for &s in &sends {
-            let NodeKind::Send { dest, .. } = &cfg.node(s).kind else {
-                unreachable!()
-            };
-            let s_env = iddep.env_at(s);
-            let send_irregular = is_irregular_side(dest);
-            let mut found: Option<(usize, usize)> = None;
-            'search: for p in attrs.of(s).iter() {
-                for q in attrs.of(r).iter() {
-                    if p == q {
-                        continue;
-                    }
-                    // Destination attribute of the send at rank p.
-                    let dest_ok = match resolve(dest, p, n, params, s_env) {
-                        Resolved::Exactly(v) => v == q,
-                        Resolved::AnyRank => true,
-                        Resolved::OutOfRange => false,
-                    };
-                    if !dest_ok {
-                        continue;
-                    }
-                    // Source attribute of the receive at rank q.
-                    let src_ok = match src {
-                        RecvSrc::Any => true,
-                        RecvSrc::Rank(e) => match resolve(e, q, n, params, r_env) {
-                            Resolved::Exactly(v) => v == p,
-                            Resolved::AnyRank => true,
-                            Resolved::OutOfRange => false,
-                        },
-                    };
-                    if src_ok {
-                        found = Some((p, q));
-                        break 'search;
-                    }
-                }
+        // The receiver ranks whose source admits each sender rank `p`:
+        // `from_any` for every `p`, plus `from[p]` for `p` alone.
+        let mut from_any = RankSet::empty(n);
+        let mut from = vec![RankSet::empty(n); n];
+        for q in 0..n {
+            match recvs.at(q)[kr] {
+                Peer::None => {}
+                Peer::Any => from_any.insert(q),
+                Peer::Exactly(p) => from[usize::from(p)].insert(q),
             }
+        }
+        // Candidate evaluation for every send: the lexicographically
+        // first `(p, q)`, `p ≠ q`, on which the attributes agree.
+        let mut candidates: Vec<(usize, (usize, usize), bool)> = Vec::new();
+        for (ks, &send_irregular) in send_irregular.iter().enumerate() {
+            let found = (0..n).find_map(|p| {
+                let accept = from_any.union(&from[p]);
+                let q = match sends.at(p)[ks] {
+                    Peer::None => None,
+                    Peer::Exactly(q) => {
+                        Some(usize::from(q)).filter(|&q| q != p && accept.contains(q))
+                    }
+                    Peer::Any => accept.iter().find(|&q| q != p),
+                };
+                q.map(|q| (p, q))
+            });
             if let Some(w) = found {
-                candidates.push((s, w, recv_irregular || send_irregular));
+                candidates.push((ks, w, recv_irregular || send_irregular));
             }
         }
         if candidates.is_empty() {
             unmatched_recvs.push(r);
             continue;
         }
-        let chosen: Vec<(NodeId, (usize, usize), bool)> = match mode {
+        let chosen = match mode {
             MatchingMode::Conservative => candidates,
             MatchingMode::PreferUnmatched => {
                 if recv_irregular {
@@ -239,7 +316,7 @@ pub fn match_send_recv(
                 } else {
                     let unmatched: Vec<_> = candidates
                         .iter()
-                        .filter(|(s, _, irr)| *irr || !send_matched[s])
+                        .filter(|&&(ks, _, irr)| irr || !send_matched[ks])
                         .cloned()
                         .collect();
                     if unmatched.is_empty() {
@@ -254,11 +331,15 @@ pub fn match_send_recv(
                 unreachable!("handled by match_fifo_ordered")
             }
         };
-        for (s, witness, irregular) in chosen {
-            send_matched.insert(s, true);
-            edges.push(MessageEdge { send: s, recv: r });
+        for (ks, witness, irregular) in chosen {
+            send_matched[ks] = true;
+            let edge = MessageEdge {
+                send: sends.nodes[ks],
+                recv: r,
+            };
+            edges.push(edge);
             witnesses.push(MatchWitness {
-                edge: MessageEdge { send: s, recv: r },
+                edge,
                 witness,
                 irregular,
             });
@@ -272,40 +353,28 @@ pub fn match_send_recv(
 }
 
 /// Per-channel FIFO sequence matching (see [`MatchingMode::FifoOrdered`]).
-fn match_fifo_ordered(cfg: &Cfg, attrs: &NodeAttrs, iddep: &IdDepInfo) -> Matching {
-    let n = attrs.nprocs();
-    let params = &iddep.params;
-    let order = dfs(cfg).preorder;
-    let mut sends: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Send { .. }))
-        .collect();
-    let mut recvs: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Recv { .. }))
-        .collect();
-    // Program (source) order, not CFG DFS order: a process executes
-    // statements in source order along its path.
-    sends.sort_by_key(|&id| cfg.node(id).stmt.expect("send nodes carry stmt ids"));
-    recvs.sort_by_key(|&id| cfg.node(id).stmt.expect("recv nodes carry stmt ids"));
-
+///
+/// Channels are visited in `(p, q)` order, but only those on which some
+/// send at `p` can target `q` and some receive at `q` can name `p`; the
+/// rest are skipped by a bit test.
+fn match_fifo_ordered(sends: &Side, recvs: &Side) -> Matching {
+    let n = sends.reach.len();
     let mut edges: Vec<MessageEdge> = Vec::new();
     let mut witnesses: Vec<MatchWitness> = Vec::new();
-    let mut seen: std::collections::HashSet<(NodeId, NodeId)> = std::collections::HashSet::new();
-    let push = |edges: &mut Vec<MessageEdge>,
-                witnesses: &mut Vec<MatchWitness>,
-                seen: &mut std::collections::HashSet<(NodeId, NodeId)>,
-                s: NodeId,
-                r: NodeId,
-                p: usize,
-                q: usize,
-                irregular: bool| {
-        if seen.insert((s, r)) {
-            edges.push(MessageEdge { send: s, recv: r });
+    let mut seen = vec![false; sends.nodes.len() * recvs.nodes.len()];
+    let mut matched = vec![false; recvs.nodes.len()];
+    let mut push = |ks: usize, kr: usize, p: usize, q: usize, irregular: bool| {
+        let slot = &mut seen[ks * recvs.nodes.len() + kr];
+        if !*slot {
+            *slot = true;
+            matched[kr] = true;
+            let edge = MessageEdge {
+                send: sends.nodes[ks],
+                recv: recvs.nodes[kr],
+            };
+            edges.push(edge);
             witnesses.push(MatchWitness {
-                edge: MessageEdge { send: s, recv: r },
+                edge,
                 witness: (p, q),
                 irregular,
             });
@@ -313,78 +382,39 @@ fn match_fifo_ordered(cfg: &Cfg, attrs: &NodeAttrs, iddep: &IdDepInfo) -> Matchi
     };
 
     for p in 0..n {
-        for q in 0..n {
-            if p == q {
+        for q in sends.reach[p].iter() {
+            if q == p || !recvs.reach[q].contains(p) {
                 continue;
             }
-            // The channel's send statements at sender rank p, with
-            // whether each resolves exactly to q.
-            let mut chan_sends: Vec<(NodeId, bool)> = Vec::new();
-            for &s in &sends {
-                if !attrs.of(s).contains(p) {
-                    continue;
-                }
-                let NodeKind::Send { dest, .. } = &cfg.node(s).kind else {
-                    unreachable!()
-                };
-                match resolve(dest, p, n, params, iddep.env_at(s)) {
-                    Resolved::Exactly(v) if v == q => chan_sends.push((s, true)),
-                    Resolved::AnyRank => chan_sends.push((s, false)),
-                    _ => {}
-                }
-            }
-            let mut chan_recvs: Vec<(NodeId, bool)> = Vec::new();
-            for &r in &recvs {
-                if !attrs.of(r).contains(q) {
-                    continue;
-                }
-                let NodeKind::Recv { src } = &cfg.node(r).kind else {
-                    unreachable!()
-                };
-                match src {
-                    RecvSrc::Any => chan_recvs.push((r, false)),
-                    RecvSrc::Rank(e) => match resolve(e, q, n, params, iddep.env_at(r)) {
-                        Resolved::Exactly(v) if v == p => chan_recvs.push((r, true)),
-                        Resolved::AnyRank => chan_recvs.push((r, false)),
-                        _ => {}
-                    },
-                }
-            }
-            if chan_sends.is_empty() || chan_recvs.is_empty() {
-                continue;
-            }
+            // The channel's send statements at sender rank p and receive
+            // statements at receiver rank q, with whether each names its
+            // peer exactly.
+            let chan_sends = sends.channel(p, q);
+            let chan_recvs = recvs.channel(q, p);
             let all_exact =
                 chan_sends.iter().all(|&(_, e)| e) && chan_recvs.iter().all(|&(_, e)| e);
             if all_exact && chan_sends.len() == chan_recvs.len() {
                 // FIFO positional pairing.
-                for (&(s, _), &(r, _)) in chan_sends.iter().zip(&chan_recvs) {
-                    push(&mut edges, &mut witnesses, &mut seen, s, r, p, q, false);
+                for (&(ks, _), &(kr, _)) in chan_sends.iter().zip(&chan_recvs) {
+                    push(ks, kr, p, q, false);
                 }
             } else {
                 // Irregular membership or count mismatch: all pairs
                 // (Lemma 3.1 fallback).
-                for &(s, se) in &chan_sends {
-                    for &(r, re) in &chan_recvs {
-                        push(
-                            &mut edges,
-                            &mut witnesses,
-                            &mut seen,
-                            s,
-                            r,
-                            p,
-                            q,
-                            !(se && re),
-                        );
+                for &(ks, se) in &chan_sends {
+                    for &(kr, re) in &chan_recvs {
+                        push(ks, kr, p, q, !(se && re));
                     }
                 }
             }
         }
     }
-    let matched: std::collections::HashSet<NodeId> = edges.iter().map(|e| e.recv).collect();
     let unmatched_recvs = recvs
+        .nodes
         .iter()
-        .copied()
-        .filter(|r| !matched.contains(r))
+        .zip(&matched)
+        .filter(|&(_, &m)| !m)
+        .map(|(&r, _)| r)
         .collect();
     Matching {
         edges,

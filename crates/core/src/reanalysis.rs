@@ -49,9 +49,18 @@ impl ReanalysisCache {
         nprocs: usize,
         mode: MatchingMode,
     ) -> (ReanalysisCache, Matching) {
-        let iddep = analyze_iddep(cfg, lowered);
-        let attrs = compute_attrs(cfg, nprocs, &iddep);
-        let matching = match_send_recv(cfg, &attrs, &iddep, mode);
+        let iddep = {
+            let _s = acfc_obs::span("core/phase2/iddep");
+            analyze_iddep(cfg, lowered)
+        };
+        let attrs = {
+            let _s = acfc_obs::span("core/phase2/attrs");
+            compute_attrs(cfg, nprocs, &iddep)
+        };
+        let matching = {
+            let _s = acfc_obs::span("core/phase2/match");
+            match_send_recv(cfg, &attrs, &iddep, mode)
+        };
         let cache = ReanalysisCache::from_matching(cfg, &matching);
         (cache, matching)
     }

@@ -262,6 +262,11 @@ fn analyze_folded_writes_flamegraph_and_speedscope_files() {
     }
     // The analysis pipeline's spans appear as nested stacks.
     assert!(folded.contains("core/analyze;core/phase1"), "{folded}");
+    // Phase II's sub-steps nest under its span.
+    for step in ["iddep", "attrs", "match"] {
+        let frame = format!("core/phase2/matching;core/phase2/{step} ");
+        assert!(folded.contains(&frame), "{folded}");
+    }
     // The sibling speedscope document rides along.
     let ss_path = std::env::temp_dir().join("acfc_cli_analyze.speedscope.json");
     let ss = std::fs::read_to_string(&ss_path).expect("speedscope written");
