@@ -111,6 +111,54 @@ pub enum EdgeLabel {
     False,
 }
 
+/// The edge list of one node. Up to two edges live inline — every node
+/// of a structured CFG has at most two successors and two predecessors
+/// — so building a CFG allocates no per-node lists.
+#[derive(Debug, Clone)]
+enum Adj {
+    Inline(u8, [(NodeId, EdgeLabel); 2]),
+    Heap(Vec<(NodeId, EdgeLabel)>),
+}
+
+impl Adj {
+    const EMPTY: Adj = Adj::Inline(0, [(NodeId(0), EdgeLabel::Seq); 2]);
+
+    fn as_slice(&self) -> &[(NodeId, EdgeLabel)] {
+        match self {
+            Adj::Inline(len, edges) => &edges[..*len as usize],
+            Adj::Heap(edges) => edges,
+        }
+    }
+
+    fn push(&mut self, edge: (NodeId, EdgeLabel)) {
+        match self {
+            Adj::Inline(len, edges) if (*len as usize) < edges.len() => {
+                edges[*len as usize] = edge;
+                *len += 1;
+            }
+            Adj::Inline(_, edges) => {
+                let mut spilled = edges.to_vec();
+                spilled.push(edge);
+                *self = Adj::Heap(spilled);
+            }
+            Adj::Heap(edges) => edges.push(edge),
+        }
+    }
+
+    /// Removes every occurrence of `edge`; returns whether one was there.
+    fn remove(&mut self, edge: (NodeId, EdgeLabel)) -> bool {
+        if !self.as_slice().contains(&edge) {
+            return false;
+        }
+        let mut kept = Adj::EMPTY;
+        for &e in self.as_slice().iter().filter(|&&e| e != edge) {
+            kept.push(e);
+        }
+        *self = kept;
+        true
+    }
+}
+
 /// A control-flow graph.
 ///
 /// Nodes are stored in an arena; edges as forward and reverse adjacency
@@ -119,8 +167,8 @@ pub enum EdgeLabel {
 pub struct Cfg {
     name: String,
     nodes: Vec<Node>,
-    succs: Vec<Vec<(NodeId, EdgeLabel)>>,
-    preds: Vec<Vec<(NodeId, EdgeLabel)>>,
+    succs: Vec<Adj>,
+    preds: Vec<Adj>,
     entry: NodeId,
     exit: NodeId,
 }
@@ -170,8 +218,8 @@ impl Cfg {
     pub fn add_node(&mut self, kind: NodeKind, stmt: Option<StmtId>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { kind, stmt });
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        self.succs.push(Adj::EMPTY);
+        self.preds.push(Adj::EMPTY);
         id
     }
 
@@ -185,7 +233,7 @@ impl Cfg {
         assert!(from.index() < self.nodes.len(), "bad edge source");
         assert!(to.index() < self.nodes.len(), "bad edge target");
         assert!(
-            !self.succs[from.index()].contains(&(to, label)),
+            !self.succs(from).contains(&(to, label)),
             "duplicate edge {from} -> {to}"
         );
         self.succs[from.index()].push((to, label));
@@ -195,12 +243,9 @@ impl Cfg {
     /// Removes the edge `from → to` with the given label (if present);
     /// returns whether an edge was removed.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId, label: EdgeLabel) -> bool {
-        let s = &mut self.succs[from.index()];
-        let before = s.len();
-        s.retain(|&(t, l)| !(t == to && l == label));
-        let removed = s.len() != before;
+        let removed = self.succs[from.index()].remove((to, label));
         if removed {
-            self.preds[to.index()].retain(|&(f, l)| !(f == from && l == label));
+            self.preds[to.index()].remove((from, label));
         }
         removed
     }
@@ -217,12 +262,12 @@ impl Cfg {
 
     /// Successor edges of `id`.
     pub fn succs(&self, id: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.succs[id.index()]
+        self.succs[id.index()].as_slice()
     }
 
     /// Predecessor edges of `id`.
     pub fn preds(&self, id: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.preds[id.index()]
+        self.preds[id.index()].as_slice()
     }
 
     /// Iterates over all node ids.
@@ -326,7 +371,7 @@ impl Cfg {
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(|v| v.len()).sum()
+        self.succs.iter().map(|v| v.as_slice().len()).sum()
     }
 
     /// All edges as `(from, to, label)` triples.
@@ -398,6 +443,29 @@ mod tests {
         let a = cfg.add_node(NodeKind::Join, None);
         cfg.add_edge(cfg.entry(), a, EdgeLabel::Seq);
         cfg.add_edge(cfg.entry(), a, EdgeLabel::Seq);
+    }
+
+    #[test]
+    fn edge_lists_past_two_edges_keep_order_and_removal() {
+        let mut cfg = Cfg::new("t");
+        let hub = cfg.add_node(NodeKind::Join, None);
+        let ends: Vec<NodeId> = (0..4).map(|_| cfg.add_node(NodeKind::Join, None)).collect();
+        for &e in &ends {
+            cfg.add_edge(hub, e, EdgeLabel::Seq);
+            cfg.add_edge(e, hub, EdgeLabel::True);
+        }
+        let seq = |v: &[NodeId], l| v.iter().map(|&n| (n, l)).collect::<Vec<_>>();
+        assert_eq!(cfg.succs(hub), seq(&ends, EdgeLabel::Seq));
+        assert_eq!(cfg.preds(hub), seq(&ends, EdgeLabel::True));
+        assert!(cfg.remove_edge(hub, ends[1], EdgeLabel::Seq));
+        assert!(!cfg.remove_edge(hub, ends[1], EdgeLabel::Seq));
+        assert!(cfg.remove_edge(ends[0], hub, EdgeLabel::True));
+        let rest = [ends[0], ends[2], ends[3]];
+        assert_eq!(cfg.succs(hub), seq(&rest, EdgeLabel::Seq));
+        assert_eq!(cfg.preds(hub), seq(&ends[1..], EdgeLabel::True));
+        assert!(cfg.preds(ends[1]).is_empty());
+        assert_eq!(cfg.edge_count(), 6);
+        assert_eq!(cfg.check_invariants(), Ok(()));
     }
 
     #[test]

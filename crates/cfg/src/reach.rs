@@ -28,20 +28,39 @@ pub struct Reach {
     rows: Vec<u64>,
 }
 
+/// Strongly connected components in **emission order**: a component is
+/// emitted only after every component reachable from it, i.e. a reverse
+/// topological order of the condensation.
+struct Sccs {
+    /// `comp[v]` = component id of node `v`.
+    comp: Vec<usize>,
+    /// Members of every component, component after component.
+    members: Vec<usize>,
+    /// `members[start[c]..start[c + 1]]` are component `c`'s members.
+    start: Vec<usize>,
+}
+
+impl Sccs {
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn members(&self, c: usize) -> &[usize] {
+        &self.members[self.start[c]..self.start[c + 1]]
+    }
+}
+
 /// Tarjan's SCC algorithm, iterative (explicit DFS frames so deep CFGs
-/// cannot overflow the call stack). Returns `(comp, comps)` where
-/// `comp[v]` is the component id of node `v` and `comps` lists each
-/// component's members in **emission order**: a component is emitted
-/// only after every component reachable from it, i.e. the list is a
-/// reverse topological order of the condensation.
-fn tarjan_scc(succs: &[Vec<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
+/// cannot overflow the call stack).
+fn tarjan_scc(succs: &[Vec<usize>]) -> Sccs {
     const UNVISITED: usize = usize::MAX;
     let n = succs.len();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut comp = vec![UNVISITED; n];
-    let mut comps: Vec<Vec<usize>> = Vec::new();
+    let mut members: Vec<usize> = Vec::with_capacity(n);
+    let mut start: Vec<usize> = vec![0];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
     // DFS frames: (node, next child position in succs[node]).
@@ -76,8 +95,7 @@ fn tarjan_scc(succs: &[Vec<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
                 }
                 if lowlink[v] == index[v] {
                     // v is the root of an SCC: pop it off the Tarjan stack.
-                    let id = comps.len();
-                    let mut members = Vec::new();
+                    let id = start.len() - 1;
                     loop {
                         let w = stack.pop().expect("SCC stack underflow");
                         on_stack[w] = false;
@@ -87,12 +105,16 @@ fn tarjan_scc(succs: &[Vec<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
                             break;
                         }
                     }
-                    comps.push(members);
+                    start.push(members.len());
                 }
             }
         }
     }
-    (comp, comps)
+    Sccs {
+        comp,
+        members,
+        start,
+    }
 }
 
 impl Reach {
@@ -112,13 +134,15 @@ impl Reach {
                 rows: Vec::new(),
             };
         }
-        let (comp, comps) = tarjan_scc(succs);
-        let s = comps.len();
+        let sccs = tarjan_scc(succs);
+        let comp = &sccs.comp;
+        let s = sccs.len();
         let mut scc_rows = vec![0u64; s * words];
         // Tarjan emission order is reverse-topological: by the time
         // component `c` is processed, every component it can reach
         // already has its final row.
-        for (c, members) in comps.iter().enumerate() {
+        for c in 0..s {
+            let members = sccs.members(c);
             // A node reaches itself iff it lies on a cycle: the SCC is
             // non-trivial, or it has a self-loop.
             let cyclic = members.len() > 1 || succs[members[0]].iter().any(|&t| t == members[0]);

@@ -57,14 +57,32 @@ pub struct Violation {
 /// Checks Condition 1 over all same-index checkpoint pairs.
 ///
 /// Returns all violating ordered pairs (empty = the condition holds and
-/// Theorem 3.2 applies).
+/// Theorem 3.2 applies), each with a witness path.
 pub fn check_condition1(
     g: &ExtendedCfg,
     index: &CheckpointIndex,
     policy: LoopPolicy,
 ) -> Vec<Violation> {
+    let mut out = violations(g, index, policy);
+    if !out.is_empty() {
+        let adj_full = g.adjacency_full();
+        for v in &mut out {
+            v.witness = find_path(&adj_full, v.from.index(), v.to.index(), &|_, _| true)
+                .map(|p| p.into_iter().map(|i| NodeId(i as u32)).collect())
+                .unwrap_or_default();
+        }
+    }
+    out
+}
+
+/// [`check_condition1`] without the witness paths (`witness` is left
+/// empty): what Algorithm 3.2 consumes.
+pub(crate) fn violations(
+    g: &ExtendedCfg,
+    index: &CheckpointIndex,
+    policy: LoopPolicy,
+) -> Vec<Violation> {
     let mut out = Vec::new();
-    let adj_full = g.adjacency_full();
     for (a, b) in index.same_index_pairs() {
         for (from, to) in [(a, b), (b, a)] {
             // Only message-crossing paths witness cross-process
@@ -77,21 +95,17 @@ pub fn check_condition1(
             let forward = g.reaches_forward_via_message(from, to);
             let violation = match policy {
                 LoopPolicy::Strict => true,
-                LoopPolicy::Optimized => forward || !(g.loops.in_loop(from) && g.loops.in_loop(to)),
+                LoopPolicy::Optimized => forward || !(g.in_loop(from) && g.in_loop(to)),
             };
             if !violation {
                 continue;
             }
-            let shared = index.ranges[&from].min.max(index.ranges[&to].min);
-            let witness = find_path(&adj_full, from.index(), to.index(), &|_, _| true)
-                .map(|p| p.into_iter().map(|i| NodeId(i as u32)).collect())
-                .unwrap_or_default();
             out.push(Violation {
                 from,
                 to,
-                index: shared,
+                index: index.ranges[&from].min.max(index.ranges[&to].min),
                 only_via_back_edge: !forward,
-                witness,
+                witness: Vec::new(),
             });
         }
     }
@@ -100,7 +114,7 @@ pub fn check_condition1(
 
 /// `true` iff Condition 1 holds under the given policy.
 pub fn condition1_holds(g: &ExtendedCfg, index: &CheckpointIndex, policy: LoopPolicy) -> bool {
-    check_condition1(g, index, policy).is_empty()
+    violations(g, index, policy).is_empty()
 }
 
 #[cfg(test)]

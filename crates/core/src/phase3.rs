@@ -16,15 +16,21 @@
 //!
 //! The relocation is performed on the **program AST** (insert a
 //! checkpoint statement just before the statement of `b`, remove the old
-//! one) and the whole analysis is rebuilt; this keeps the program, the
-//! CFG, and the extended CFG in sync, at the cost of re-running the
-//! cheap static phases each iteration. If an insertion fails to remove
-//! the violation (the path re-enters through a non-dominator
-//! predecessor), the insertion point escalates one dominator earlier;
-//! iteration is capped and residual violations are reported as an error
-//! rather than silently accepted.
+//! one) and the CFG is rebuilt from it, which keeps the program, the
+//! CFG, and the extended CFG in sync. A relocation, and the rebalancing
+//! after it, only adds or removes checkpoint nodes, each with exactly
+//! one predecessor and one successor, so everything else carries over:
+//! Phase II's matching is replayed and the extended CFG's
+//! checkpoint-free skeleton (back edges, closures, message-reach rows)
+//! is reused, with only the checkpoints re-placed on it (see
+//! [`ReanalysisCache`] and [`crate::extended`]).
+//!
+//! If an insertion fails to remove the violation (the path re-enters
+//! through a non-dominator predecessor), the insertion point escalates
+//! one dominator earlier; iteration is capped and residual violations
+//! are reported as an error rather than silently accepted.
 
-use crate::condition::{check_condition1, LoopPolicy, Violation};
+use crate::condition::{violations, LoopPolicy, Violation};
 use crate::cuts::index_checkpoints;
 use crate::extended::ExtendedCfg;
 use crate::matching::{Matching, MatchingMode};
@@ -32,6 +38,7 @@ use crate::reanalysis::ReanalysisCache;
 use acfc_cfg::{build_cfg_prelowered, dominators, Cfg, NodeId, NodeKind};
 use acfc_mpsl::{Block, Program, Stmt, StmtId, StmtKind};
 use std::fmt;
+use std::sync::Arc;
 
 /// One relocation performed by Algorithm 3.2.
 #[derive(Debug, Clone)]
@@ -85,10 +92,12 @@ pub struct Phase3Config {
     /// Iteration cap.
     pub max_iterations: usize,
     /// Reuse Phase II (ID-dependence, attributes, send/recv matching)
-    /// across Algorithm 3.2 iterations via [`ReanalysisCache`] — sound
-    /// because checkpoint relocations cannot change communication
-    /// structure. `false` recomputes everything each iteration (the
-    /// baseline the bench harness compares against).
+    /// and the extended CFG's checkpoint-free skeleton across Algorithm
+    /// 3.2 iterations via [`ReanalysisCache`] — sound because checkpoint
+    /// relocations change neither the communication structure nor the
+    /// graph between non-checkpoint nodes. `false` recomputes everything
+    /// each iteration (the baseline the bench harness compares against,
+    /// and the oracle of the Phase III differential test).
     pub incremental: bool,
 }
 
@@ -133,19 +142,15 @@ pub fn ensure_recovery_lines(
         current.lower_collectives();
     }
     let mut moves = Vec::new();
-    // Phase II results survive checkpoint relocations (see
-    // [`ReanalysisCache`]); the cache carries them across iterations so
-    // only the CFG skeleton, the checkpoint index, and the closures are
-    // rebuilt per move.
+    // Phase II results and the extended CFG's checkpoint-free skeleton
+    // survive checkpoint relocations (see [`ReanalysisCache`]); the
+    // cache carries them across iterations so only the CFG, the
+    // checkpoint index and the checkpoint placement are rebuilt per move.
     let mut cache: Option<ReanalysisCache> = None;
     for _ in 0..config.max_iterations {
         let _iter = acfc_obs::span("core/phase3/iteration");
         acfc_obs::count("core/phase3/iterations", 1);
-        let cfg = build_cfg_prelowered(&current);
-        let matching = phase2_matching(&cfg, &current, config, &mut cache);
-        let index = index_checkpoints(&cfg, &current);
-        let extended = ExtendedCfg::build(cfg, &matching);
-        let violations = check_condition1(&extended, &index, config.policy);
+        let (extended, violations) = rebuild(&current, config, &mut cache);
         let Some(v) = pick_violation(&violations) else {
             return Ok(Phase3Result {
                 program: current,
@@ -170,11 +175,7 @@ pub fn ensure_recovery_lines(
         crate::phase1::rebalance_checkpoints(&mut current);
     }
     // One final check to report residuals precisely.
-    let cfg = build_cfg_prelowered(&current);
-    let matching = phase2_matching(&cfg, &current, config, &mut cache);
-    let index = index_checkpoints(&cfg, &current);
-    let extended = ExtendedCfg::build(cfg, &matching);
-    let violations = check_condition1(&extended, &index, config.policy);
+    let (extended, violations) = rebuild(&current, config, &mut cache);
     if violations.is_empty() {
         return Ok(Phase3Result {
             program: current,
@@ -187,6 +188,32 @@ pub fn ensure_recovery_lines(
         residual: violations.len(),
         detail: format!("S_{}: path {} -> {}", first.index, first.from, first.to),
     })
+}
+
+/// One Algorithm 3.2 iteration's analysis of `program`: its CFG, Phase
+/// II, checkpoint index and extended CFG, and the Condition 1
+/// violations they show.
+fn rebuild(
+    program: &Program,
+    config: &Phase3Config,
+    cache: &mut Option<ReanalysisCache>,
+) -> (ExtendedCfg, Vec<Violation>) {
+    let cfg = {
+        let _s = acfc_obs::span("core/phase3/cfg");
+        build_cfg_prelowered(program)
+    };
+    let matching = phase2_matching(&cfg, program, config, cache);
+    let index = {
+        let _s = acfc_obs::span("core/phase3/index");
+        index_checkpoints(&cfg, program)
+    };
+    let extended = {
+        let _s = acfc_obs::span("core/phase3/extended");
+        extended_cfg(cfg, &matching, config, cache)
+    };
+    let _s = acfc_obs::span("core/phase3/condition1");
+    let violations = violations(&extended, &index, config.policy);
+    (extended, violations)
 }
 
 /// Phase II for one Algorithm 3.2 iteration: replay the cached matching
@@ -209,6 +236,33 @@ fn phase2_matching(
     let (fresh, matching) = ReanalysisCache::compute(cfg, lowered, config.nprocs, config.matching);
     *cache = Some(fresh);
     matching
+}
+
+/// The extended CFG for one iteration: when allowed, re-place the
+/// checkpoints on the cached skeleton; otherwise, or when `cfg` does not
+/// contract onto it, build in full and cache the new skeleton.
+fn extended_cfg(
+    cfg: Cfg,
+    matching: &Matching,
+    config: &Phase3Config,
+    cache: &mut Option<ReanalysisCache>,
+) -> ExtendedCfg {
+    let cache = cache.as_mut().filter(|_| config.incremental);
+    let cfg = match cache.as_ref().and_then(|c| c.skeleton.as_ref()) {
+        Some(skeleton) => match ExtendedCfg::place(cfg, matching, skeleton) {
+            Ok(g) => {
+                acfc_obs::count("core/phase3/skeleton_reuses", 1);
+                return g;
+            }
+            Err(cfg) => cfg,
+        },
+        None => cfg,
+    };
+    let g = ExtendedCfg::build(cfg, matching);
+    if let Some(c) = cache {
+        c.skeleton = Some(Arc::clone(g.skeleton()));
+    }
+    g
 }
 
 /// Deterministic violation choice: smallest index, then node ids.

@@ -19,11 +19,17 @@
 //! counts differ from the cached signature — something other than a
 //! checkpoint edit happened — the cache refuses and the caller recomputes
 //! from scratch.
+//!
+//! The same argument covers Phase III's closures: the cache also keeps
+//! the checkpoint-free [`Skeleton`] of the extended CFG, on which every
+//! later CFG only re-places its checkpoints (see [`crate::extended`]).
 
+use crate::extended::Skeleton;
 use crate::matching::{match_send_recv, Matching, MatchingMode, MessageEdge};
 use crate::{analyze_iddep, compute_attrs};
 use acfc_cfg::{Cfg, NodeId};
 use acfc_mpsl::Program;
+use std::sync::Arc;
 
 /// A replayable Phase II result, keyed on the communication-structure
 /// signature of the CFG it was computed from.
@@ -37,6 +43,9 @@ pub struct ReanalysisCache {
     witnesses: Vec<crate::matching::MatchWitness>,
     /// Ordinals of receives that had no matching send.
     unmatched_recvs: Vec<usize>,
+    /// The skeleton of an extended CFG built on this matching, once
+    /// built, for later CFGs to re-place their checkpoints on.
+    pub(crate) skeleton: Option<Arc<Skeleton>>,
 }
 
 impl ReanalysisCache {
@@ -87,6 +96,7 @@ impl ReanalysisCache {
             edges,
             witnesses: matching.witnesses.clone(),
             unmatched_recvs,
+            skeleton: None,
         }
     }
 

@@ -267,6 +267,11 @@ fn analyze_folded_writes_flamegraph_and_speedscope_files() {
         let frame = format!("core/phase2/matching;core/phase2/{step} ");
         assert!(folded.contains(&frame), "{folded}");
     }
+    // So do the steps of each Algorithm 3.2 iteration.
+    for step in ["cfg", "index", "extended", "condition1"] {
+        let frame = format!("core/phase3/iteration;core/phase3/{step} ");
+        assert!(folded.contains(&frame), "{folded}");
+    }
     // The sibling speedscope document rides along.
     let ss_path = std::env::temp_dir().join("acfc_cli_analyze.speedscope.json");
     let ss = std::fs::read_to_string(&ss_path).expect("speedscope written");
